@@ -432,14 +432,19 @@ void fork_call(Microtask fn, void** args, const ForkOptions& opts) {
 
   // Miss (or forced growth retry): pick the victim slot before acquiring so
   // its workers are back on the idle stack for deterministic reuse. Prefer
-  // the slot this fork aliases (same level+request, stale binding or forced
-  // retry), then an empty slot, then the least recently used.
+  // the slot with this fork's full key (level, request, binding) — only a
+  // forced growth retry gets here with one — then an empty slot, then the
+  // least recently used quiescent slot. An entry of another binding (kind,
+  // partition, master place or place-table generation) is never dismissed
+  // ahead of an empty slot: it leaves by LRU, or by the short-acquire
+  // cannibalization below.
   metrics_add(Metric::kHotTeamRebuilds);
   HotSlot* victim = nullptr;
   if (cacheable) {
     for (HotSlot& slot : ts.hot_slots) {
       if (slot.team != nullptr && !slot.in_use &&
-          slot.level == parent_level && slot.requested == want) {
+          slot.level == parent_level && slot.requested == want &&
+          slot.bind_sig == bind_sig) {
         victim = &slot;
         break;
       }

@@ -716,19 +716,43 @@ TEST(HotTeamAffinityTest, BindChangeRebuildsAndRebinds) {
            close_opts);
   parallel([&] { master([&] { spread_team = rt::current_thread().team; }); },
            spread_opts);
-  if (PlaceTable::instance().num_places() >= 2) {
-    EXPECT_NE(close_team, spread_team)
-        << "binding signature is part of the cache key";
-  }
+  // binding_sig mixes the bind kind into the key, so the two teams differ
+  // even when the table holds a single place.
+  EXPECT_NE(close_team, spread_team)
+      << "binding signature is part of the cache key";
   // Alternating bind kinds now hits both cached entries.
   for (int i = 0; i < 10; ++i) {
     rt::Team* t = nullptr;
     const ParallelOptions& opts = (i % 2 == 0) ? close_opts : spread_opts;
     parallel([&] { master([&] { t = rt::current_thread().team; }); }, opts);
-    if (PlaceTable::instance().num_places() >= 2) {
-      ASSERT_EQ(t, (i % 2 == 0) ? close_team : spread_team) << "round " << i;
-    }
+    ASSERT_EQ(t, (i % 2 == 0) ? close_team : spread_team) << "round " << i;
   }
+}
+
+TEST(HotTeamAffinityTest, PlaceTableGenerationChangeRebinds) {
+  // A replaced place table is a new generation, so the binding signature of
+  // unchanged `close` options changes: the fork must miss the cached team,
+  // rebuild through the pool and re-apply the OS masks.
+  PlaceTableGuard guard;
+  PlaceTable::instance().set_for_test(per_proc_places());
+  ParallelOptions opts;
+  opts.num_threads = 2;
+  opts.proc_bind = BindKind::kClose;
+  parallel([] {}, opts);
+  const rt::i64 calls_before = rt::affinity_syscall_count();
+  PlaceTable::instance().set_for_test(per_proc_places());
+  std::atomic<int> ran{0};
+  int size = 0;
+  parallel(
+      [&] {
+        ran.fetch_add(1);
+        master([&] { size = num_threads(); });
+      },
+      opts);
+  EXPECT_EQ(size, 2) << "the pool must still serve the fork";
+  EXPECT_EQ(ran.load(), size);
+  EXPECT_GT(rt::affinity_syscall_count(), calls_before)
+      << "a new place-table generation must rebind the team";
 }
 
 TEST(HotTeamAffinityTest, AlternatingShapesBothStayHot) {
